@@ -1,9 +1,10 @@
 /// §IV code-share reproduction: the paper reports that of its core code
 /// base ~52% is shared among all backends, ~23% is GPU-specific, ~14%
 /// SIMD-specific, and <11% scalar-CPU-specific.  This tool classifies
-/// this repository's library sources the same way (excluding, as the
-/// paper does, supporting code: I/O, benchmarks, C interfacing — and the
-/// FPGA parts) and prints the comparison.
+/// this repository's sources the same way (excluding, as the paper does,
+/// supporting code: I/O, benchmarks, C interfacing — and the FPGA parts)
+/// and prints the comparison.  The GPU bucket is the simulated device in
+/// repro/gpusim; every other bucket is library code under src/.
 
 #include <filesystem>
 #include <fstream>
@@ -43,20 +44,21 @@ struct bucket {
 int main(int argc, char** argv) {
   const auto a = anyseq::bench::args::parse(argc, argv, /*scale=*/1,
                                             /*pairs=*/0);
-  // Locate the source tree relative to the binary (build/bench/..) or cwd.
-  fs::path src;
-  for (const char* cand : {"../../src", "../src", "src"}) {
+  // Locate the repository root relative to the binary (build/bench/..)
+  // or cwd.
+  fs::path root;
+  for (const char* cand : {"../..", "..", "."}) {
     fs::path p = fs::path(argv[0]).parent_path() / cand;
-    if (fs::exists(p / "core")) {
-      src = p;
+    if (fs::exists(p / "src" / "core")) {
+      root = p;
       break;
     }
-    if (fs::exists(fs::path(cand) / "core")) {
-      src = cand;
+    if (fs::exists(fs::path(cand) / "src" / "core")) {
+      root = cand;
       break;
     }
   }
-  if (src.empty()) {
+  if (root.empty()) {
     std::printf("cannot locate src/ — run from the repository root\n");
     return 1;
   }
@@ -64,21 +66,24 @@ int main(int argc, char** argv) {
   // Classification mirroring the paper's: shared = the generic algorithm
   // and its abstractions; backend buckets = code only that backend needs.
   // Excluded (as the paper excludes support code): bio (I/O, workload
-  // generation), capi, baselines, schedsim, and the FPGA parts.
+  // generation), capi, service, baselines, schedsim, and the FPGA parts.
   bucket buckets[] = {
-      {"shared", {"core", "stage", "anyseq"}, 0},
-      {"gpu", {"gpusim"}, 0},
-      {"simd", {"simd", "tiled/simd_block.hpp", "tiled/batch_engine.hpp"}, 0},
+      {"shared", {"src/core", "src/stage", "src/anyseq"}, 0},
+      {"gpu", {"repro/gpusim"}, 0},
+      {"simd",
+       {"src/simd", "src/tiled/simd_block.hpp", "src/tiled/batch_engine.hpp"},
+       0},
       {"scalar-cpu",
-       {"parallel", "tiled/tile_kernel.hpp", "tiled/tiled_engine.hpp",
-        "tiled/borders.hpp", "tiled/tiled_hirschberg.hpp"},
+       {"src/parallel", "src/tiled/tile_kernel.hpp",
+        "src/tiled/tiled_engine.hpp", "src/tiled/borders.hpp",
+        "src/tiled/tiled_hirschberg.hpp"},
        0},
   };
 
   anyseq::bench::stopwatch classify_sw;
   for (auto& b : buckets) {
     for (const char* d : b.dirs_or_files) {
-      const fs::path p = src / d;
+      const fs::path p = root / d;
       if (fs::is_regular_file(p)) {
         b.loc += count_loc(p);
       } else if (fs::is_directory(p)) {
@@ -87,6 +92,12 @@ int main(int argc, char** argv) {
             const auto ext = e.path().extension();
             if (ext == ".hpp" || ext == ".cpp") b.loc += count_loc(e.path());
           }
+      } else {
+        // A moved or renamed source must not count as 0 LoC and silently
+        // skew the shares.
+        std::fprintf(stderr, "bucket %s: no such file or directory: %s\n",
+                     b.name, p.string().c_str());
+        return 1;
       }
     }
   }
@@ -107,7 +118,7 @@ int main(int argc, char** argv) {
   const double paper_frac[] = {codeshare_shared, codeshare_gpu,
                                codeshare_simd, codeshare_scalar_cpu};
 
-  std::printf("code-share breakdown (library sources, support code "
+  std::printf("code-share breakdown (src/ and repro/gpusim, support code "
               "excluded)\n\n");
   std::printf("%-12s %8s %8s %10s\n", "bucket", "LoC", "share", "paper");
   std::printf("------------------------------------------\n");

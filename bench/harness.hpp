@@ -255,8 +255,7 @@ inline void print_footer() {
   std::printf(
       "note: absolute GCUPS are not comparable to the paper's testbed\n"
       "(2x Xeon Gold 6130 / Titan V / ZCU104 vs this host); the *shape* —\n"
-      "who wins, by what factor — is the reproduction target. See\n"
-      "EXPERIMENTS.md for the per-figure discussion.\n");
+      "who wins, by what factor — is the reproduction target.\n");
 }
 
 }  // namespace anyseq::bench

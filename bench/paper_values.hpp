@@ -7,7 +7,7 @@
 /// that stream plus the prose constraints ("at most 7% slower, up to 12%
 /// faster than SeqAn/NVBio", "AnySeq and SeqAn have roughly the same
 /// traceback speed", "~20 GCUPS on the ZCU104", "factor of up to 1.1/1.12
-/// over NVBio").  EXPERIMENTS.md discusses the reconstruction.
+/// over NVBio").
 
 namespace anyseq::bench::paper {
 

@@ -9,8 +9,7 @@
 /// live in the per-variant namespaces `anyseq::v_*`, each compiled by its
 /// own ISA-flagged translation unit.  simd::detect() gates every entry,
 /// so a binary with native AVX2/AVX-512 kernels never executes them on a
-/// CPU that lacks the ISA.  The simulator backends (gpu_sim, fpga_sim)
-/// are baseline code and run here directly.
+/// CPU that lacks the ISA.
 ///
 /// The one-shot `align()` family is a thin wrapper over a thread-local
 /// `aligner`, so even fire-and-forget callers reuse a warm workspace;
@@ -20,21 +19,10 @@
 #include "anyseq/anyseq.hpp"
 
 #include "anyseq/engine_table.hpp"
-#include "anyseq/option_dispatch.hpp"
-#include "core/full_engine.hpp"
-#include "core/locate.hpp"
-#include "fpgasim/systolic.hpp"
-#include "gpusim/gpu_engine.hpp"
 #include "simd/detect.hpp"
-#include "tiled/batch_engine.hpp"
 
 namespace anyseq {
 namespace {
-
-// The with_kind/with_gap/with_scoring specialization steps live in
-// anyseq/option_dispatch.hpp; this TU uses them only for the *simulator*
-// backends (the CPU variants re-dispatch inside their own namespace; see
-// engine_impl.hpp).
 
 /// Resolve auto_select against the running CPU and reject forced SIMD
 /// backends the binary/CPU combination cannot run (the dispatch contract
@@ -57,11 +45,6 @@ backend resolve_backend(backend b) {
         "backend simd_avx512 was forced, but this binary's AVX-512 kernels "
         "cannot run on this CPU (" + simd::describe(f) + ")");
   return b;
-}
-
-[[nodiscard]] bool is_cpu(backend b) noexcept {
-  return b == backend::scalar || b == backend::simd_avx2 ||
-         b == backend::simd_avx512;
 }
 
 /// The function table of a resolved CPU backend.
@@ -92,136 +75,6 @@ const engine::ops& ops_of_slot(int i) {
     case 2: return engine::ops_x32();
     default: return engine::ops_x1();
   }
-}
-
-// ---------------------------------------------------------------------
-// Simulator backends (baseline code; exempt from the zero-allocation
-// contract).
-// ---------------------------------------------------------------------
-
-template <align_kind K, class Gap, class Scoring>
-alignment_result gpu_align(stage::seq_view q, stage::seq_view s,
-                           const Gap& gap, const Scoring& scoring,
-                           const align_options& opt) {
-  static gpusim::device dev;  // process-wide simulated device
-  gpusim::gpu_engine<K, Gap, Scoring> eng(dev, gap, scoring);
-  alignment_result out;
-  out.variant = "gpu_sim";
-  if (!opt.want_alignment) {
-    const auto r = eng.score(q, s);
-    out.score = r.score;
-    out.q_end = r.end_i;
-    out.s_end = r.end_j;
-    out.cells = r.cells;
-    return out;
-  }
-  if (q.size() * s.size() <= opt.full_matrix_cells) {
-    full_engine<K, Gap, Scoring> feng(gap, scoring);
-    out = feng.align(q, s, true);
-    out.variant = "gpu_sim";
-    return out;
-  }
-  if constexpr (K == align_kind::global) {
-    out = eng.align(q, s);
-    out.variant = "gpu_sim";
-    return out;
-  } else if constexpr (K == align_kind::local ||
-                       K == align_kind::semiglobal) {
-    auto galign = [&](stage::seq_view subq, stage::seq_view subs) {
-      gpusim::gpu_engine<align_kind::global, Gap, Scoring> geng(dev, gap,
-                                                                scoring);
-      return geng.align(subq, subs);
-    };
-    out = locate_align<K>(q, s, gap, scoring, galign);
-    out.variant = "gpu_sim";
-    return out;
-  } else {
-    throw invalid_argument_error(
-        "extension traceback beyond full_matrix_cells is not supported");
-  }
-}
-
-template <align_kind K, class Gap, class Scoring>
-alignment_result fpga_align(stage::seq_view q, stage::seq_view s,
-                            const Gap& gap, const Scoring& scoring,
-                            const align_options& opt) {
-  if (opt.want_alignment)
-    throw invalid_argument_error(
-        "the fpga_sim backend is score-only (paper §V: the FPGA "
-        "implementation supports score-only alignment)");
-  const auto r = fpgasim::systolic_score<K>(q, s, gap, scoring);
-  alignment_result out;
-  out.score = r.score;
-  out.cells = r.cells;
-  out.q_end = q.size();
-  out.s_end = s.size();
-  out.variant = "fpga_sim";
-  return out;
-}
-
-alignment_result simulator_align(stage::seq_view q, stage::seq_view s,
-                                 const align_options& opt, backend exec) {
-  return with_kind(opt.kind, [&](auto kc) {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) {
-      return with_scoring(opt, [&](const auto& scoring) {
-        switch (exec) {
-          case backend::gpu_sim:
-            return gpu_align<K>(q, s, gap, scoring, opt);
-          case backend::fpga_sim:
-            return fpga_align<K>(q, s, gap, scoring, opt);
-          default:
-            break;
-        }
-        throw invalid_argument_error("unresolved backend");
-      });
-    });
-  });
-}
-
-std::vector<alignment_result> simulator_align_batch(
-    std::span<const seq_pair> pairs, const align_options& opt,
-    backend exec) {
-  return with_kind(opt.kind, [&](auto kc) -> std::vector<alignment_result> {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) -> std::vector<alignment_result> {
-      return with_scoring(opt, [&](const auto& scoring)
-                              -> std::vector<alignment_result> {
-        using Gap = std::decay_t<decltype(gap)>;
-        using Scoring = std::decay_t<decltype(scoring)>;
-        switch (exec) {
-          case backend::gpu_sim: {
-            static gpusim::device dev;
-            gpusim::gpu_engine<K, Gap, Scoring> eng(dev, gap, scoring);
-            std::vector<tiled::pair_view> pv;
-            pv.reserve(pairs.size());
-            for (const auto& p : pairs) pv.push_back({p.q, p.s});
-            auto out = eng.batch(pv, opt.want_alignment);
-            for (auto& r : out) r.variant = "gpu_sim";
-            return out;
-          }
-          case backend::fpga_sim: {
-            if (opt.want_alignment)
-              throw invalid_argument_error(
-                  "the fpga_sim backend is score-only");
-            std::vector<alignment_result> out(pairs.size());
-            for (std::size_t i = 0; i < pairs.size(); ++i) {
-              const auto r = fpgasim::systolic_score<K>(pairs[i].q,
-                                                        pairs[i].s, gap,
-                                                        scoring);
-              out[i].score = r.score;
-              out[i].cells = r.cells;
-              out[i].variant = "fpga_sim";
-            }
-            return out;
-          }
-          default:
-            break;
-        }
-        throw invalid_argument_error("unresolved backend");
-      });
-    });
-  });
 }
 
 /// The thread-local handle behind the one-shot `align()` family.  Each
@@ -393,7 +246,7 @@ void aligner::set_options(const align_options& opt) {
   const backend exec = resolve_backend(opt.exec);
   opt_ = opt;
   exec_ = exec;
-  ops_ = is_cpu(exec) ? &ops_for(exec) : nullptr;
+  ops_ = &ops_for(exec);
 }
 
 void* aligner::workspace_handle() {
@@ -402,8 +255,8 @@ void* aligner::workspace_handle() {
   return ws_[i];
 }
 
-void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
-                             alignment_result& out) {
+void aligner::align_into(stage::seq_view q, stage::seq_view s,
+                         alignment_result& out) {
   const engine::ops& eng = *ops_;
   void* ws = workspace_handle();
 
@@ -455,15 +308,6 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
   }
 }
 
-void aligner::align_into(stage::seq_view q, stage::seq_view s,
-                         alignment_result& out) {
-  if (!is_cpu(exec_)) {
-    out = simulator_align(q, s, opt_, exec_);
-    return;
-  }
-  align_cpu_into(q, s, out);
-}
-
 alignment_result aligner::align(stage::seq_view q, stage::seq_view s) {
   alignment_result out;
   align_into(q, s, out);
@@ -476,10 +320,6 @@ void aligner::align_batch_into(std::span<const seq_pair> pairs,
   // Empty batch: defined no-op (options were validated by set_options).
   if (pairs.empty()) {
     out.clear();
-    return;
-  }
-  if (!is_cpu(exec_)) {
-    out = simulator_align_batch(pairs, opt_, exec_);
     return;
   }
 
@@ -521,9 +361,6 @@ void aligner::align_banded_into(stage::seq_view q, stage::seq_view s,
   if (opt_.kind != align_kind::global)
     throw invalid_argument_error(
         "align_banded supports global alignment only");
-  if (!is_cpu(exec_))
-    throw invalid_argument_error(
-        "align_banded is implemented by the CPU engine variants only");
   ops_->banded_align(q, s, b, opt_, workspace_handle(), out);
 }
 
@@ -536,13 +373,6 @@ alignment_result aligner::align_banded(stage::seq_view q, stage::seq_view s,
 
 aligner::plan_info aligner::plan(index_t n, index_t m) const {
   plan_info p{};
-  p.precision = score_precision::int32;  // simulators / traceback routes
-  if (!is_cpu(exec_)) {
-    p.variant = exec_ == backend::gpu_sim ? "gpu_sim" : "fpga_sim";
-    p.route = "simulator";
-    p.workspace_bytes = 0;
-    return p;
-  }
   p.variant = ops_->name;
   p.route = engine::to_string(engine::classify_route(n, m, opt_));
   p.workspace_bytes = ops_->plan_bytes(n, m, opt_);
@@ -551,7 +381,6 @@ aligner::plan_info aligner::plan(index_t n, index_t m) const {
 }
 
 void aligner::reserve(index_t n, index_t m) {
-  if (!is_cpu(exec_)) return;  // simulators own their storage
   ops_->ws_reserve(workspace_handle(), ops_->plan_bytes(n, m, opt_));
 }
 
@@ -603,12 +432,7 @@ std::vector<alignment_result> align_batch(std::span<const seq_pair> pairs,
 }
 
 const char* backend_name(const align_options& opt) {
-  const backend exec = resolve_backend(opt.exec);
-  switch (exec) {
-    case backend::gpu_sim: return "gpu_sim";
-    case backend::fpga_sim: return "fpga_sim";
-    default: return ops_for(exec).name;
-  }
+  return ops_for(resolve_backend(opt.exec)).name;
 }
 
 const char* version() noexcept { return "1.0.0"; }

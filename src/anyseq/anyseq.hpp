@@ -31,14 +31,14 @@
 
 namespace anyseq {
 
-/// Execution backend (paper §IV: CPU, CPU-SIMD, GPU, FPGA).
+/// CPU execution backend (paper §IV: CPU, CPU-SIMD).  The paper's GPU
+/// and FPGA targets are reproduced as models outside the library
+/// (repro/gpusim, repro/fpgasim; DESIGN.md §3).
 enum class backend : std::uint8_t {
   auto_select,  ///< widest SIMD the binary and CPU support
   scalar,       ///< multithreaded scalar CPU
   simd_avx2,    ///< 16-bit x 16 lanes (AVX2-shaped)
   simd_avx512,  ///< 16-bit x 32 lanes (AVX-512-shaped)
-  gpu_sim,      ///< simulated CUDA-like device (DESIGN.md §3)
-  fpga_sim,     ///< simulated systolic array (score-only)
 };
 
 [[nodiscard]] constexpr const char* to_string(backend b) noexcept {
@@ -47,8 +47,6 @@ enum class backend : std::uint8_t {
     case backend::scalar: return "scalar";
     case backend::simd_avx2: return "avx2";
     case backend::simd_avx512: return "avx512";
-    case backend::gpu_sim: return "gpu_sim";
-    case backend::fpga_sim: return "fpga_sim";
   }
   return "?";
 }
@@ -140,9 +138,7 @@ struct ops;  // internal per-variant function table (engine_table.hpp)
 ///
 /// Thread-safety: an aligner serves one call at a time; use one handle
 /// per thread (the one-shot `align()` wrapper does exactly that with a
-/// thread-local instance).  Simulator backends (gpu_sim / fpga_sim)
-/// execute through their legacy paths and are exempt from the
-/// allocation contract.
+/// thread-local instance).
 class aligner {
  public:
   /// Plan for default options.
@@ -184,8 +180,8 @@ class aligner {
   /// how many pairs ran on narrow SIMD lanes (uniform and lane-padded
   /// ragged chunks), scalar, bit-parallel, or were escalated.  Zeroed at
   /// the start of every `align_batch`/`align_batch_into`; stays zero for
-  /// traceback batches and simulator backends (their per-pair routes do
-  /// not pass through the batch score engine).
+  /// traceback batches (their per-pair routes do not pass through the
+  /// batch score engine).
   [[nodiscard]] batch_stats last_batch_stats() const noexcept {
     return last_batch_stats_;
   }
@@ -200,7 +196,7 @@ class aligner {
   /// options: the dispatched variant, the execution route, and the exact
   /// arena footprint the route carves.
   struct plan_info {
-    const char* variant;  ///< "scalar" / "avx2" / "avx512" / simulator
+    const char* variant;  ///< "scalar" / "avx2" / "avx512"
     const char* route;    ///< "tiled_score", "small_score", "full_matrix",
                           ///< "hirschberg", "locate", "bitpar_score",
                           ///< "precision_score", or "unsupported"
@@ -227,12 +223,10 @@ class aligner {
  private:
   void destroy_workspaces() noexcept;
   [[nodiscard]] void* workspace_handle();  ///< lazily created, per variant
-  void align_cpu_into(stage::seq_view q, stage::seq_view s,
-                      alignment_result& out);
 
   align_options opt_{};
   backend exec_ = backend::scalar;          ///< resolved backend
-  const engine::ops* ops_ = nullptr;        ///< CPU variants only
+  const engine::ops* ops_ = nullptr;        ///< resolved variant; never null
   void* ws_[3] = {nullptr, nullptr, nullptr};  ///< one arena per variant
   std::vector<score_result> batch_score_scratch_;
   batch_stats last_batch_stats_{};  ///< filled by the batch score route
@@ -263,15 +257,15 @@ class aligner {
     std::span<const seq_pair> pairs, const align_options& opt = {});
 
 /// Banded global alignment restricted to diagonals b.lo <= j - i <= b.hi
-/// (resequencing-style workloads).  Requires opt.kind == global and a CPU
-/// backend; score-only unless opt.want_alignment.  The band must contain
+/// (resequencing-style workloads).  Requires opt.kind == global;
+/// score-only unless opt.want_alignment.  The band must contain
 /// diagonals 0 and m - n or invalid_argument_error is thrown.
 [[nodiscard]] alignment_result align_banded(stage::seq_view q,
                                             stage::seq_view s, band b,
                                             const align_options& opt = {});
 
 /// Name of the engine variant the given options dispatch to on this host
-/// ("scalar", "avx2", "avx512", "gpu_sim", "fpga_sim"); static storage.
+/// ("scalar", "avx2", "avx512"); static storage.
 /// With default options this is the auto_select resolution.  Throws
 /// unsupported_backend_error for a forced SIMD backend the binary/CPU
 /// combination cannot run — exactly like align().

@@ -1,10 +1,9 @@
 #pragma once
 /// \file option_dispatch.hpp
-/// The runtime-option -> compile-time-policy dispatch steps shared by the
-/// baseline dispatcher (align.cpp, for the simulator backends) and every
+/// The runtime-option -> compile-time-policy dispatch steps used by every
 /// per-variant engine clone (engine_impl.hpp).
 ///
-/// Safe to share across baseline and ISA-flagged TUs: each helper is a
+/// Safe to share across ISA-flagged TUs: each helper is a
 /// function template whose only instantiations take TU-local lambda
 /// types, so no two translation units can ever emit the same symbol —
 /// and inside a variant TU the lambda's enclosing `anyseq::v_*` scope

@@ -141,7 +141,7 @@ class full_engine {
   }
 
   /// One-shot convenience over a member workspace (kept for tests and
-  /// the simulator paths); a long-lived engine object reuses it.
+  /// the repro/ models); a long-lived engine object reuses it.
   template <stage::sequence_view QV, stage::sequence_view SV>
   [[nodiscard]] alignment_result align(const QV& q, const SV& s,
                                        bool want_traceback = true) {

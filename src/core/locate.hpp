@@ -8,8 +8,8 @@
 /// else the original optimum would be beatable), which the divide &
 /// conquer engine reconstructs in linear space.
 ///
-/// The global aligner is a parameter, so the scalar, tiled-SIMD, and
-/// GPU-simulated backends all share this logic — composition by function
+/// The global aligner is a parameter, so the serial and tiled-SIMD
+/// Hirschberg engines share this logic — composition by function
 /// argument, as everywhere in this library.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS`, once per
@@ -132,7 +132,7 @@ void locate_align_into(stage::seq_view q, stage::seq_view s, const Gap& gap,
 }
 
 /// Legacy convenience: reconstruct through a by-value `global_align`
-/// callable with a private throwaway workspace (simulator backends).
+/// callable with a private throwaway workspace.
 template <align_kind K, class Gap, class Scoring, class GlobalAlign>
 [[nodiscard]] alignment_result locate_align(stage::seq_view q,
                                             stage::seq_view s,

@@ -1,14 +1,6 @@
 #include "service/batcher.hpp"
 
 namespace anyseq::service {
-namespace {
-
-[[nodiscard]] bool is_cpu_backend(backend b) noexcept {
-  return b == backend::auto_select || b == backend::scalar ||
-         b == backend::simd_avx2 || b == backend::simd_avx512;
-}
-
-}  // namespace
 
 const char* to_string(route r) noexcept {
   switch (r) {
@@ -21,7 +13,6 @@ const char* to_string(route r) noexcept {
 
 route classify(stage::seq_view q, stage::seq_view s,
                const align_options& opt) noexcept {
-  if (!is_cpu_backend(opt.exec)) return route::solo;
   if (q.size() == 0 || s.size() == 0) return route::solo;
   if (opt.want_alignment) {
     const index_t cells = q.size() * s.size();

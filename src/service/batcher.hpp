@@ -14,20 +14,19 @@
 /// exactly the cases where coalescing through `align_batch` preserves
 /// the identity:
 ///
-///   * batch_score     — CPU backend, score-only, global kind, non-empty
-///                       sequences.  Both paths compute the unique
-///                       optimal score, report cells = n*m and the (n, m)
-///                       end cell.
-///   * batch_traceback — CPU backend, traceback requested, problem small
-///                       enough that `align` itself would take the
-///                       full-matrix path (`cells <= full_matrix_cells`):
-///                       both run the same `full_engine` specialization.
-///   * solo            — everything else (simulator backends, local or
-///                       semiglobal score-only whose argmax tie-breaking
-///                       differs between engines, oversized tracebacks,
-///                       empty sequences).  Solo requests still coalesce
-///                       into one pool job, but each runs through
-///                       `anyseq::align` individually.
+///   * batch_score     — score-only, global kind, non-empty sequences.
+///                       Both paths compute the unique optimal score,
+///                       report cells = n*m and the (n, m) end cell.
+///   * batch_traceback — traceback requested, problem small enough that
+///                       `align` itself would take the full-matrix path
+///                       (`cells <= full_matrix_cells`): both run the
+///                       same `full_engine` specialization.
+///   * solo            — everything else (local or semiglobal score-only
+///                       whose argmax tie-breaking differs between
+///                       engines, oversized tracebacks, empty sequences).
+///                       Solo requests still coalesce into one pool job,
+///                       but each runs through `anyseq::align`
+///                       individually.
 ///
 /// A batch holds requests with the same route AND pairwise-compatible
 /// options (`options_compatible`): `align_batch` takes one option set for

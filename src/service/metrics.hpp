@@ -90,7 +90,7 @@ class latency_histogram {
 /// Execution accounting axes.  Routes mirror `service::route`
 /// (batch_score, batch_traceback, solo); variants are the engine names
 /// stamped into `alignment_result::variant`, with one spill cell for
-/// anything unrecognised (simulator backends and future engines).
+/// anything unrecognised (future engines).
 inline constexpr std::size_t n_exec_routes = 3;
 inline constexpr std::size_t n_exec_variants = 4;
 

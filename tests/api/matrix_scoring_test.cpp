@@ -6,8 +6,6 @@
 
 #include "anyseq/anyseq.hpp"
 #include "baselines/naive.hpp"
-#include "fpgasim/systolic.hpp"
-#include "gpusim/gpu_engine.hpp"
 #include "testutil.hpp"
 #include "tiled/batch_engine.hpp"
 #include "tiled/tiled_engine.hpp"
@@ -85,24 +83,6 @@ TEST(MatrixScoringBackends, BatchSimdGatherMatchesOracle) {
   EXPECT_GT(eng.last_stats().simd_pairs, 0u);  // the gather path ran
 }
 
-TEST(MatrixScoringBackends, GpuSimMatchesOracle) {
-  auto q = test::random_codes(150, 7, 0.02);
-  auto s = test::mutate(q, 8);
-  gpusim::device dev;
-  gpusim::gpu_engine<align_kind::global, affine_gap, dna_matrix_scoring>
-      eng(dev, kGap, kMatrix, {40, 40, 8});
-  EXPECT_EQ(eng.score(view(q), view(s)).score,
-            oracle(q, s, align_kind::global));
-}
-
-TEST(MatrixScoringBackends, FpgaSimMatchesOracle) {
-  auto q = test::random_codes(90, 9, 0.02);
-  auto s = test::random_codes(120, 10, 0.02);
-  const auto r = fpgasim::systolic_score<align_kind::global>(
-      view(q), view(s), kGap, kMatrix);
-  EXPECT_EQ(r.score, oracle(q, s, align_kind::global));
-}
-
 TEST(MatrixScoringBackends, FacadeMatrixAcrossBackends) {
   auto q = test::random_codes(180, 11);
   auto s = test::mutate(q, 12);
@@ -113,9 +93,8 @@ TEST(MatrixScoringBackends, FacadeMatrixAcrossBackends) {
   opt.threads = 2;
   opt.tile = 64;
   const score_t want = oracle(q, s, align_kind::global);
-  for (backend b : {backend::scalar, backend::simd_avx2,
-                    backend::simd_avx512, backend::gpu_sim,
-                    backend::fpga_sim}) {
+  for (backend b :
+       {backend::scalar, backend::simd_avx2, backend::simd_avx512}) {
     if (!test::backend_runnable(b)) continue;
     opt.exec = b;
     EXPECT_EQ(align(view(q), view(s), opt).score, want) << to_string(b);

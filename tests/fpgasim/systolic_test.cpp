@@ -9,12 +9,12 @@ namespace {
 
 using test::view;
 
-template <align_kind K, class Gap>
+template <align_kind K, class Gap, class Scoring = simple_scoring>
 void fpga_matches_reference(index_t n, index_t m, const Gap& gap,
-                            std::uint64_t seed, int kpe) {
+                            std::uint64_t seed, int kpe,
+                            const Scoring& sc = simple_scoring{2, -1}) {
   auto q = test::random_codes(n, seed);
   auto s = test::random_codes(m, seed + 13);
-  const simple_scoring sc{2, -1};
   fpga_config cfg;
   cfg.kpe = kpe;
   const auto got = systolic_score<K>(view(q), view(s), gap, sc, cfg);
@@ -45,6 +45,13 @@ TEST(Systolic, SemiglobalBitExact) {
   for (int kpe : {8, 50})
     fpga_matches_reference<align_kind::semiglobal>(75, 140, linear_gap{-1},
                                                    4, kpe);
+}
+
+TEST(Systolic, GlobalAffineMatrixBitExact) {
+  // Substitution-matrix scoring: the per-cell table lookup path.
+  for (int kpe : {16, 128})
+    fpga_matches_reference<align_kind::global>(90, 120, affine_gap{-4, -1},
+                                               9, kpe, dna_default_matrix());
 }
 
 TEST(Systolic, QueryShorterThanArray) {

@@ -10,14 +10,14 @@ namespace {
 
 using test::view;
 
-template <align_kind K, class Gap>
+template <align_kind K, class Gap, class Scoring = simple_scoring>
 void gpu_matches_reference(index_t n, index_t m, const Gap& gap,
-                           std::uint64_t seed, gpu_config cfg) {
+                           std::uint64_t seed, gpu_config cfg,
+                           const Scoring& sc = simple_scoring{2, -1}) {
   auto q = test::random_codes(n, seed);
   auto s = test::random_codes(m, seed + 3);
-  const simple_scoring sc{2, -1};
   device dev;
-  gpu_engine<K, Gap, simple_scoring> eng(dev, gap, sc, cfg);
+  gpu_engine<K, Gap, Scoring> eng(dev, gap, sc, cfg);
   const auto got = eng.score(view(q), view(s));
   const auto want = rolling_score<K>(view(q), view(s), gap, sc);
   ASSERT_EQ(got.score, want.score) << to_string(K) << " seed " << seed;
@@ -41,6 +41,13 @@ TEST(GpuEngine, LocalAffineBitExact) {
 TEST(GpuEngine, SemiglobalLinearBitExact) {
   gpu_matches_reference<align_kind::semiglobal>(120, 260, linear_gap{-1}, 4,
                                                 {64, 32, 16});
+}
+
+TEST(GpuEngine, GlobalAffineMatrixBitExact) {
+  // Substitution-matrix scoring: the per-cell table lookup path.
+  gpu_matches_reference<align_kind::global>(150, 160, affine_gap{-4, -1}, 7,
+                                            {40, 40, 8},
+                                            dna_default_matrix());
 }
 
 TEST(GpuEngine, StripeHeightDoesNotChangeScores) {

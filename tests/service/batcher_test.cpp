@@ -54,14 +54,6 @@ TEST_F(BatcherRoutes, NonGlobalScoreOnlyGoesSolo) {
   EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
 }
 
-TEST_F(BatcherRoutes, SimulatorBackendsGoSolo) {
-  align_options opt;
-  opt.exec = backend::gpu_sim;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
-  opt.exec = backend::fpga_sim;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
-}
-
 TEST_F(BatcherRoutes, EmptySequencesGoSolo) {
   align_options opt;
   EXPECT_EQ(classify(view(empty), view(b), opt), route::solo);
